@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
@@ -130,5 +131,36 @@ func TestStage1ParallelFirstErrorCancelsSiblings(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// Every solve hands Stage 2 a fresh Selection whose topic view and rate
+// cache are still unbuilt, and the portfolio members build them
+// concurrently on first use. Under -race this pins that they share one
+// build safely; the second solve must reproduce the first.
+func TestPortfolioConcurrentSolvesShareLazySelectionViews(t *testing.T) {
+	w, err := tracegen.Random(tracegen.RandomConfig{
+		Topics: 60, Subscribers: 400, MaxFollowings: 6, MaxRate: 40, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fleetConfig(50, testFleet(t, 400), Stage2Custom, OptAll)
+	for _, par := range []int{-1, 4} {
+		cfg.Parallelism = par
+		var first *Result
+		for i := 0; i < 2; i++ {
+			res, err := SolveContext(context.Background(), w, cfg)
+			if err != nil {
+				t.Fatalf("parallelism %d solve %d: %v", par, i, err)
+			}
+			if first == nil {
+				first = res
+				continue
+			}
+			if err := allocationsEqual(first.Allocation, res.Allocation); err != nil {
+				t.Errorf("parallelism %d: second solve differs: %v", par, err)
+			}
+		}
 	}
 }

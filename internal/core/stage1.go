@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/workload"
@@ -20,14 +22,18 @@ type Selection struct {
 	subOff    []int64
 	subTopics []workload.TopicID
 
-	// Topic-grouped CSR of selected subscribers, derived lazily.
+	// Topic-grouped CSR of selected subscribers, derived lazily. The
+	// Once lets concurrent readers (Stage 2's portfolio members) share
+	// one build.
+	topicOnce sync.Once
 	topicOff  []int64
 	topicSubs []workload.SubID
 
 	// selRates caches Σ_{t selected for v} ev_t per subscriber, built
 	// lazily on first use so Satisfied/FirstUnsatisfied cost O(1) per
 	// query after one O(pairs) pass.
-	selRates []int64
+	ratesOnce sync.Once
+	selRates  []int64
 }
 
 // Workload returns the workload the selection was made from.
@@ -44,15 +50,12 @@ func (s *Selection) SelectedTopics(v workload.SubID) []workload.TopicID {
 
 // SelectedRate reports the delivered event rate Σ_{t selected for v} ev_t.
 func (s *Selection) SelectedRate(v workload.SubID) int64 {
-	s.buildRates()
+	s.ratesOnce.Do(s.buildRates)
 	return s.selRates[v]
 }
 
 // buildRates materializes the per-subscriber selected-rate cache.
 func (s *Selection) buildRates() {
-	if s.selRates != nil {
-		return
-	}
 	n := len(s.subOff) - 1
 	if n < 0 {
 		n = 0
@@ -82,7 +85,7 @@ func (s *Selection) OutgoingRate() int64 {
 // the topic-grouped view on first use. The slice aliases internal storage
 // and must not be modified.
 func (s *Selection) SelectedSubscribers(t workload.TopicID) []workload.SubID {
-	s.buildTopicView()
+	s.topicOnce.Do(s.buildTopicView)
 	return s.topicSubs[s.topicOff[t]:s.topicOff[t+1]]
 }
 
@@ -99,9 +102,6 @@ func (s *Selection) Pairs(fn func(workload.Pair) bool) {
 }
 
 func (s *Selection) buildTopicView() {
-	if s.topicOff != nil {
-		return
-	}
 	numT := s.w.NumTopics()
 	counts := make([]int64, numT+1)
 	for _, t := range s.subTopics {
@@ -152,6 +152,19 @@ func (s *Selection) FirstUnsatisfied(tau int64) workload.SubID {
 // fits in the remaining demand, takes the smallest-rate remaining topic and
 // finishes. greedyReference in tests implements Alg. 2 literally and is
 // property-checked to select pairs of identical total bandwidth.
+//
+// Every subscriber walks its topics in the same preference order — rate
+// descending, then topic ID ascending — so the solve ranks the T topics
+// once instead of sorting each subscriber's list. A blocked transposition
+// then hands every subscriber its topics already in rank order: for each
+// block of subscribers (at most gspBlockPairs pairs, or T when that is
+// larger), the topics are visited in rank order and each one's subscribers
+// inside the block receive it; Workload.Subscribers being ascending in
+// SubID lets one forward-moving cursor per topic find them. The pick is an
+// early-exit linear scan of that list, and the only sort left orders the
+// few selected topics by ID. A solve costs O(P + T log T) for P pairs and
+// T topics, with no per-subscriber sort, and O(T) scratch beyond one
+// block's pairs and a copy of the selection.
 func GreedySelectPairs(w *workload.Workload, tau int64) *Selection {
 	sel, _ := GreedySelectPairsContext(context.Background(), w, Config{Tau: tau})
 	return sel
@@ -168,7 +181,7 @@ func GreedySelectPairsContext(ctx context.Context, w *workload.Workload, cfg Con
 	}
 	start := time.Now()
 	tk := newTicker(ctx, cfg.Observer, StageSelect, int64(w.NumSubscribers()))
-	subOff, subTopics, err := greedySelectRange(w, 0, w.NumSubscribers(), cfg.Tau, tk)
+	subOff, subTopics, err := greedySelectRange(w, rankTopics(w), 0, w.NumSubscribers(), cfg.Tau, gspBlock(w), tk)
 	if err != nil {
 		return nil, err
 	}
@@ -176,81 +189,166 @@ func GreedySelectPairsContext(ctx context.Context, w *workload.Workload, cfg Con
 	return &Selection{w: w, subOff: subOff, subTopics: subTopics}, nil
 }
 
-// greedySelectRange runs GSP over subscribers [lo, hi) and returns the
-// CSR fragment (offsets relative to the fragment start). tk polls
-// cancellation once per checkInterval subscribers; it may be a ticker with
-// a nil observer (the parallel workers' setting).
-func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, tk *ticker) ([]int64, []workload.TopicID, error) {
-	subOff := make([]int64, 1, hi-lo+1)
-	var expect int64
-	if w.NumSubscribers() > 0 {
-		expect = w.NumPairs() * int64(hi-lo) / int64(w.NumSubscribers()) / 2
-	}
-	subTopics := make([]workload.TopicID, 0, expect+1)
+// gspBlockPairs is the pair count GSP transposes at a time: large enough
+// that the per-block walk over all topics amortizes, small enough that the
+// block buffer stays in cache and the solve's allocation stays flat.
+const gspBlockPairs = 1 << 15
 
-	// Scratch reused across subscribers: topics sorted by rate descending.
-	var scratch []rateTopic
-	for v := lo; v < hi; v++ {
-		if err := tk.tick(1); err != nil {
-			return nil, nil, err
+// gspBlock is the block size for w: gspBlockPairs, or the topic count when
+// that is larger, so the per-block topic walk never outweighs the block's
+// pairs and a solve stays O(P + T log T).
+func gspBlock(w *workload.Workload) int64 {
+	return max(gspBlockPairs, int64(w.NumTopics()))
+}
+
+// rankTopics returns every topic ID in GSP's preference order: rate
+// descending, then ID ascending.
+func rankTopics(w *workload.Workload) []workload.TopicID {
+	rates := w.Rates()
+	rank := make([]workload.TopicID, len(rates))
+	for i := range rank {
+		rank[i] = workload.TopicID(i)
+	}
+	slices.SortFunc(rank, func(a, b workload.TopicID) int {
+		if c := cmp.Compare(rates[b], rates[a]); c != 0 {
+			return c
 		}
-		ts := w.Topics(workload.SubID(v))
-		scratch = scratch[:0]
-		var demand int64
-		for _, t := range ts {
-			r := w.Rate(t)
-			demand += r
-			scratch = append(scratch, rateTopic{rate: r, topic: t})
+		return cmp.Compare(a, b)
+	})
+	return rank
+}
+
+// greedySelectRange runs GSP over subscribers [lo, hi) and returns the
+// CSR fragment (offsets relative to the fragment start). rank is
+// rankTopics(w); blockPairs bounds the pairs transposed at once (a block
+// always holds at least one subscriber, so a subscriber of larger degree
+// gets a block of its own). tk polls cancellation once per checkInterval
+// subscribers; it may be a ticker with a nil observer (the parallel
+// workers' setting).
+func greedySelectRange(w *workload.Workload, rank []workload.TopicID, lo, hi int, tau, blockPairs int64, tk *ticker) ([]int64, []workload.TopicID, error) {
+	rates := w.Rates()
+	// cur[t] is the next entry of Subscribers(t) not yet transposed and
+	// head[t] the subscriber it names, or noSub past the list's end. The
+	// lists are ascending in SubID, so the cursors only move forward, a
+	// shard seeds them by binary search for lo, and a block passes over a
+	// topic with no subscriber in it without touching the topic's list.
+	const noSub = workload.SubID(math.MaxInt32)
+	cur := make([]int, len(rank))
+	head := make([]workload.SubID, len(rank))
+	for t := range cur {
+		subs := w.Subscribers(workload.TopicID(t))
+		if lo > 0 {
+			cur[t], _ = slices.BinarySearch(subs, workload.SubID(lo))
 		}
-		tauV := tau
-		if demand < tauV {
-			tauV = demand
+		head[t] = noSub
+		if cur[t] < len(subs) {
+			head[t] = subs[cur[t]]
 		}
-		if tauV == demand {
-			// Everything is needed; skip the sort.
-			start := len(subTopics)
-			for _, rt := range scratch {
-				subTopics = append(subTopics, rt.topic)
+	}
+	subOff := make([]int64, 1, hi-lo+1)
+	// Each block's picks overwrite the block's front, are copied out
+	// exactly, and the copies are joined once at the end: the selection's
+	// size is known only after the last block, and a slice grown on a guess
+	// would allocate by the subscribers' order.
+	var (
+		block []workload.TopicID   // the block's topics, subscriber-major, each run in rank order
+		next  []int32              // next[i]: where subscriber b0+i's next topic lands in block
+		parts [][]workload.TopicID // every finished block's selection
+		done  int64                // selected pairs in parts
+	)
+	for b0 := lo; b0 < hi; {
+		// The block takes subscribers while its pairs fit in blockPairs;
+		// capping its subscriber count too bounds next when many follow
+		// nothing.
+		b1 := b0 + 1
+		pairs := int64(w.Followings(workload.SubID(b0)))
+		next = append(next[:0], 0)
+		for b1 < hi && int64(b1-b0) < blockPairs {
+			d := int64(w.Followings(workload.SubID(b1)))
+			if pairs+d > blockPairs {
+				break
 			}
-			sortTopicIDs(subTopics[start:])
-			subOff = append(subOff, int64(len(subTopics)))
-			continue
+			next = append(next, int32(pairs))
+			pairs += d
+			b1++
 		}
-		slices.SortFunc(scratch, func(a, b rateTopic) int {
-			if a.rate != b.rate {
-				return cmp.Compare(b.rate, a.rate) // rate descending
+		block = slices.Grow(block[:0], int(pairs))[:pairs]
+		for _, t := range rank {
+			if int(head[t]) >= b1 {
+				continue
 			}
-			return cmp.Compare(a.topic, b.topic)
-		})
-		rem := tauV
-		start := len(subTopics)
-		lastSkipped := -1
-		for i := range scratch {
+			subs := w.Subscribers(t)
+			c := cur[t]
+			for ; c < len(subs) && int(subs[c]) < b1; c++ {
+				i := int(subs[c]) - b0
+				block[next[i]] = t
+				next[i]++
+			}
+			cur[t], head[t] = c, noSub
+			if c < len(subs) {
+				head[t] = subs[c]
+			}
+		}
+		// Each next[i] now ends subscriber b0+i's run. A subscriber picks
+		// at most its run, so picks never overtake the runs still unread.
+		var from int32
+		picks := block[:0]
+		for _, end := range next {
+			if err := tk.tick(1); err != nil {
+				return nil, nil, err
+			}
+			picks = appendGSPPick(picks, block[from:end], rates, tau)
+			from = end
+			subOff = append(subOff, done+int64(len(picks)))
+		}
+		parts = append(parts, slices.Clone(picks))
+		done += int64(len(picks))
+		b0 = b1
+	}
+	subTopics := make([]workload.TopicID, 0, done)
+	for _, p := range parts {
+		subTopics = append(subTopics, p...)
+	}
+	return subOff, subTopics, nil
+}
+
+// appendGSPPick appends one subscriber's GSP selection to dst in ascending
+// ID order. ranked is the subscriber's topic list in rank order. dst may
+// share ranked's array as long as it ends at or before ranked starts: the
+// i-th entry of ranked is read before anything is written past dst's
+// length plus i.
+func appendGSPPick(dst, ranked []workload.TopicID, rates []int64, tau int64) []workload.TopicID {
+	start := len(dst)
+	var demand int64
+	for _, t := range ranked {
+		demand += rates[t]
+	}
+	if demand <= tau {
+		// τ_v is the whole demand: everything is needed.
+		dst = append(dst, ranked...)
+	} else {
+		rem := tau
+		var lastSkipped workload.TopicID
+		for _, t := range ranked {
 			if rem <= 0 {
 				break
 			}
-			if scratch[i].rate <= rem {
-				subTopics = append(subTopics, scratch[i].topic)
-				rem -= scratch[i].rate
+			if r := rates[t]; r <= rem {
+				dst = append(dst, t)
+				rem -= r
 			} else {
-				lastSkipped = i
+				lastSkipped = t
 			}
 		}
 		if rem > 0 {
 			// No remaining topic fits within rem; all skipped topics
 			// exceed it. The best benefit/cost is the smallest rate,
-			// which (descending order) is the last skipped entry.
-			subTopics = append(subTopics, scratch[lastSkipped].topic)
+			// which (rank order) is the last skipped entry.
+			dst = append(dst, lastSkipped)
 		}
-		sortTopicIDs(subTopics[start:])
-		subOff = append(subOff, int64(len(subTopics)))
 	}
-	return subOff, subTopics, nil
-}
-
-type rateTopic struct {
-	rate  int64
-	topic workload.TopicID
+	sortTopicIDs(dst[start:])
+	return dst
 }
 
 func sortTopicIDs(s []workload.TopicID) {

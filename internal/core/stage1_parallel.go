@@ -39,13 +39,14 @@ func stage1Workers(parallelism, numSubscribers int) int {
 	return workers
 }
 
-// greedySelectParallel shards GSP over worker goroutines. Every worker
-// polls a shared derived context on its own ticker, and the first worker
-// to fail cancels that context so its siblings abort within one
-// checkInterval batch instead of finishing doomed shards; the goroutines
-// are always joined before returning, leaking nothing. The caller's
-// context error wins the report (every shard of a cancelled solve fails
-// with it anyway); otherwise the first error recorded is returned.
+// greedySelectParallel shards GSP over worker goroutines, which share the
+// solve's rank order (rankTopics) read-only. Every worker polls a shared
+// derived context on its own ticker, and the first worker to fail cancels
+// that context so its siblings abort within one checkInterval batch
+// instead of finishing doomed shards; the goroutines are always joined
+// before returning, leaking nothing. The caller's context error wins the
+// report (every shard of a cancelled solve fails with it anyway);
+// otherwise the first error recorded is returned.
 func greedySelectParallel(ctx context.Context, w *workload.Workload, tau int64, workers int, obs Observer) (*Selection, error) {
 	start := time.Now()
 	n := w.NumSubscribers()
@@ -67,6 +68,7 @@ func greedySelectParallel(ctx context.Context, w *workload.Workload, tau int64, 
 		firstErr error
 	)
 	per := (n + workers - 1) / workers
+	rank, block := rankTopics(w), gspBlock(w)
 	for k := 0; k < workers; k++ {
 		lo := k * per
 		hi := lo + per
@@ -83,7 +85,7 @@ func greedySelectParallel(ctx context.Context, w *workload.Workload, tau int64, 
 			// Workers tick cancellation but not the observer: progress
 			// callbacks stay single-goroutine.
 			tk := &ticker{ctx: wctx, left: checkInterval}
-			off, topics, err := greedySelectRange(w, lo, hi, tau, tk)
+			off, topics, err := greedySelectRange(w, rank, lo, hi, tau, block, tk)
 			frags[k] = fragment{subOff: off, subTopics: topics, err: err}
 			if err != nil {
 				errOnce.Do(func() {

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +72,111 @@ func greedyReference(w *workload.Workload, tau int64) *Selection {
 		subOff = append(subOff, int64(len(subTopics)))
 	}
 	return &Selection{w: w, subOff: subOff, subTopics: subTopics}
+}
+
+// gspComparatorReference is GSP as it ran before the rank-order scan: for
+// each subscriber in [lo, hi), a comparator sort of its topics by (rate
+// descending, ID ascending), then the same largest-fitting-first scan and
+// smallest-overshoot top-off. The fast path must reproduce its CSR
+// fragment byte for byte.
+func gspComparatorReference(w *workload.Workload, lo, hi int, tau int64) ([]int64, []workload.TopicID) {
+	type rateTopic struct {
+		rate  int64
+		topic workload.TopicID
+	}
+	subOff := []int64{0}
+	var subTopics []workload.TopicID
+	var scratch []rateTopic
+	for v := lo; v < hi; v++ {
+		scratch = scratch[:0]
+		var demand int64
+		for _, t := range w.Topics(workload.SubID(v)) {
+			demand += w.Rate(t)
+			scratch = append(scratch, rateTopic{rate: w.Rate(t), topic: t})
+		}
+		start := len(subTopics)
+		if demand <= tau {
+			for _, rt := range scratch {
+				subTopics = append(subTopics, rt.topic)
+			}
+		} else {
+			slices.SortFunc(scratch, func(a, b rateTopic) int {
+				if a.rate != b.rate {
+					return cmp.Compare(b.rate, a.rate)
+				}
+				return cmp.Compare(a.topic, b.topic)
+			})
+			rem := tau
+			lastSkipped := -1
+			for i := range scratch {
+				if rem <= 0 {
+					break
+				}
+				if scratch[i].rate <= rem {
+					subTopics = append(subTopics, scratch[i].topic)
+					rem -= scratch[i].rate
+				} else {
+					lastSkipped = i
+				}
+			}
+			if rem > 0 {
+				subTopics = append(subTopics, scratch[lastSkipped].topic)
+			}
+		}
+		sortTopicIDs(subTopics[start:])
+		subOff = append(subOff, int64(len(subTopics)))
+	}
+	return subOff, subTopics
+}
+
+// checkMatchesComparator reports whether a GSP fragment over [lo, hi) is
+// byte-identical to gspComparatorReference's.
+func checkMatchesComparator(w *workload.Workload, lo, hi int, tau int64, subOff []int64, subTopics []workload.TopicID) error {
+	wantOff, wantTopics := gspComparatorReference(w, lo, hi, tau)
+	if !slices.Equal(subOff, wantOff) {
+		return fmt.Errorf("[%d,%d) τ=%d: subOff %v, want %v", lo, hi, tau, subOff, wantOff)
+	}
+	if !slices.Equal(subTopics, wantTopics) {
+		return fmt.Errorf("[%d,%d) τ=%d: subTopics %v, want %v", lo, hi, tau, subTopics, wantTopics)
+	}
+	return nil
+}
+
+// tiedWorkload draws a workload whose rates come from a handful of values,
+// so most rank decisions fall to the ID tie-break. Interest lists are left
+// unsorted and some subscribers follow nothing, which FromCSR accepts.
+func tiedWorkload(rng *rand.Rand) *workload.Workload {
+	numT := 1 + rng.Intn(30)
+	distinct := int64(1 + rng.Intn(4))
+	rates := make([]int64, numT)
+	for t := range rates {
+		rates[t] = 1 + rng.Int63n(distinct)*(1+rng.Int63n(3))
+	}
+	n := 1 + rng.Intn(60)
+	subOff := []int64{0}
+	var subTopics []workload.TopicID
+	for v := 0; v < n; v++ {
+		deg := rng.Intn(numT + 1)
+		for _, t := range rng.Perm(numT)[:deg] {
+			subTopics = append(subTopics, workload.TopicID(t))
+		}
+		subOff = append(subOff, int64(len(subTopics)))
+	}
+	w, err := workload.FromCSR(rates, subOff, subTopics, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// maxDemand reports the largest subscriber demand, the τ beyond which GSP
+// selects every pair.
+func maxDemand(w *workload.Workload) int64 {
+	var m int64
+	for v := 0; v < w.NumSubscribers(); v++ {
+		m = max(m, w.Demand(workload.SubID(v)))
+	}
+	return m
 }
 
 func mustWorkload(t *testing.T, rates []int64, interests [][]workload.TopicID) *workload.Workload {
@@ -316,4 +425,183 @@ func TestGSPOutperformsRSPOnSocialWorkloads(t *testing.T) {
 			t.Errorf("τ=%d: GSP outgoing %d ≥ RSP %d", tau, gsp, rsp)
 		}
 	}
+}
+
+// The rank-order scan must reproduce the comparator sort byte for byte:
+// heavy rate ties, unsorted interest lists, empty subscribers, every τ
+// regime, serial and sharded.
+func TestGSPMatchesComparatorReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for c := 0; c < 300; c++ {
+		w := tiedWorkload(rng)
+		if c%2 == 1 {
+			w = randomCoreWorkload(rng)
+		}
+		n := w.NumSubscribers()
+		for _, tau := range []int64{1, 10, 100, 1000, maxDemand(w), maxDemand(w) + 1} {
+			sel := GreedySelectPairs(w, tau)
+			if err := checkMatchesComparator(w, 0, n, tau, sel.subOff, sel.subTopics); err != nil {
+				t.Fatalf("case %d serial: %v", c, err)
+			}
+			for _, workers := range []int{2, 3, 5} {
+				par := GreedySelectPairsParallel(w, tau, workers)
+				if err := checkMatchesComparator(w, 0, n, tau, par.subOff, par.subTopics); err != nil {
+					t.Fatalf("case %d workers=%d: %v", c, workers, err)
+				}
+			}
+		}
+	}
+}
+
+// Shards start mid-workload and blocks can be smaller than a subscriber's
+// degree, in which case that subscriber gets a block of its own.
+func TestGSPRangeMatchesComparatorReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for c := 0; c < 300; c++ {
+		w := tiedWorkload(rng)
+		n := w.NumSubscribers()
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		rank := rankTopics(w)
+		for _, block := range []int64{1, 2, 3, 7, gspBlock(w)} {
+			tau := 1 + rng.Int63n(maxDemand(w)+2)
+			tk := &ticker{ctx: context.Background(), left: checkInterval}
+			off, topics, err := greedySelectRange(w, rank, lo, hi, tau, block, tk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkMatchesComparator(w, lo, hi, tau, off, topics); err != nil {
+				t.Fatalf("case %d block=%d: %v", c, block, err)
+			}
+		}
+	}
+}
+
+// A subscriber following more topics than gspBlockPairs overflows the
+// production block size and is transposed in a block of its own, between
+// ordinary blocks on either side.
+func TestGSPSubscriberLargerThanBlock(t *testing.T) {
+	numT := gspBlockPairs + 1000
+	rates := make([]int64, numT)
+	for i := range rates {
+		rates[i] = 1 + int64(i%7)
+	}
+	subOff := []int64{0}
+	var subTopics []workload.TopicID
+	for v := 0; v < 40; v++ {
+		deg := 1 + v%5
+		if v == 20 {
+			deg = numT
+		}
+		for k := 0; k < deg; k++ {
+			subTopics = append(subTopics, workload.TopicID((v*131+k*17)%numT))
+		}
+		slices.Sort(subTopics[subOff[len(subOff)-1]:])
+		subTopics = slices.Compact(subTopics)
+		subOff = append(subOff, int64(len(subTopics)))
+	}
+	w, err := workload.FromCSR(rates, subOff, subTopics, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := rankTopics(w)
+	for _, tau := range []int64{1, 10, 1000, w.Demand(20)} {
+		tk := &ticker{ctx: context.Background(), left: checkInterval}
+		off, topics, err := greedySelectRange(w, rank, 0, w.NumSubscribers(), tau, gspBlockPairs, tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkMatchesComparator(w, 0, w.NumSubscribers(), tau, off, topics); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzGreedySelectPairs builds tiny workloads from the fuzz input and
+// checks Stage 1 against its oracles: byte identity with the comparator
+// reference (serial, sharded, and on a sub-range with a tiny block),
+// Satisfied(τ), and the same per-subscriber bandwidth as the paper-literal
+// greedyReference.
+//
+// Layout: τ byte, block byte, topic count byte, one rate byte per topic,
+// then per subscriber a degree byte followed by that many topic bytes.
+func FuzzGreedySelectPairs(f *testing.F) {
+	f.Add([]byte{10, 1, 3, 8, 6, 5, 3, 0, 1, 2})
+	f.Add([]byte{0, 0, 4, 1, 1, 1, 1, 4, 3, 2, 1, 0, 2, 0, 3, 1, 1})
+	f.Add([]byte{255, 3, 5, 200, 2, 2, 9, 2, 5, 0, 1, 2, 3, 4, 2, 4, 4, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		tau := 1 + int64(data[0])*3
+		block := 1 + int64(data[1]%8)
+		numT := 1 + int(data[2]%16)
+		data = data[3:]
+		if len(data) < numT {
+			return
+		}
+		rates := make([]int64, numT)
+		for i, b := range data[:numT] {
+			// Mostly small rates, so ties are common; now and then a
+			// large one that overshoots τ on its own.
+			rates[i] = 1 + int64(b%8)
+			if b >= 224 {
+				rates[i] = int64(b) * 5
+			}
+		}
+		data = data[numT:]
+		subOff := []int64{0}
+		var subTopics []workload.TopicID
+		for len(data) > 0 && len(subOff) <= 64 {
+			deg := 1 + int(data[0])%numT
+			data = data[1:]
+			start := len(subTopics)
+			for k := 0; k < deg && len(data) > 0; k++ {
+				tid := workload.TopicID(int(data[0]) % numT)
+				data = data[1:]
+				if !slices.Contains(subTopics[start:], tid) {
+					subTopics = append(subTopics, tid)
+				}
+			}
+			if len(subTopics) == start {
+				break
+			}
+			subOff = append(subOff, int64(len(subTopics)))
+		}
+		if len(subOff) == 1 {
+			return
+		}
+		w, err := workload.FromCSR(rates, subOff, subTopics, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := w.NumSubscribers()
+
+		sel := GreedySelectPairs(w, tau)
+		if err := checkMatchesComparator(w, 0, n, tau, sel.subOff, sel.subTopics); err != nil {
+			t.Fatalf("serial: %v", err)
+		}
+		par := GreedySelectPairsParallel(w, tau, 2)
+		if err := checkMatchesComparator(w, 0, n, tau, par.subOff, par.subTopics); err != nil {
+			t.Fatalf("parallel: %v", err)
+		}
+		lo := n / 3
+		tk := &ticker{ctx: context.Background(), left: checkInterval}
+		off, topics, err := greedySelectRange(w, rankTopics(w), lo, n, tau, block, tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkMatchesComparator(w, lo, n, tau, off, topics); err != nil {
+			t.Fatalf("block %d: %v", block, err)
+		}
+		if !sel.Satisfied(tau) {
+			t.Fatalf("subscriber %d unsatisfied at τ=%d", sel.FirstUnsatisfied(tau), tau)
+		}
+		ref := greedyReference(w, tau)
+		for v := 0; v < n; v++ {
+			if got, want := sel.SelectedRate(workload.SubID(v)), ref.SelectedRate(workload.SubID(v)); got != want {
+				t.Fatalf("subscriber %d selected rate %d, greedyReference %d", v, got, want)
+			}
+		}
+	})
 }

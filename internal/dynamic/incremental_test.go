@@ -3,6 +3,7 @@ package dynamic
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -270,6 +271,12 @@ func TestApplyDeltaFastMatchesApplyDelta(t *testing.T) {
 			if got.Rate(workload.TopicID(tt)) != want.Rate(workload.TopicID(tt)) {
 				t.Fatalf("case %d: topic %d rate %d != %d", c, tt,
 					got.Rate(workload.TopicID(tt)), want.Rate(workload.TopicID(tt)))
+			}
+		}
+		// GSP's transposition relies on Subscribers(t) ascending in SubID.
+		for tt := 0; tt < got.NumTopics(); tt++ {
+			if subs := got.Subscribers(workload.TopicID(tt)); !slices.IsSorted(subs) {
+				t.Fatalf("case %d: topic %d subscribers %v not ascending", c, tt, subs)
 			}
 		}
 		for v := 0; v < want.NumSubscribers(); v++ {

@@ -84,8 +84,10 @@ func (w *Workload) Topics(v SubID) []TopicID {
 	return w.subTopics[w.subOff[v]:w.subOff[v+1]]
 }
 
-// Subscribers returns the subscribers of topic t (V_t). The returned slice
-// aliases internal storage and must not be modified.
+// Subscribers returns the subscribers of topic t (V_t), ascending in SubID:
+// every constructor goes through FromCSR, whose counting-sort transpose
+// visits subscribers in ID order. Stage 1 relies on this order. The
+// returned slice aliases internal storage and must not be modified.
 func (w *Workload) Subscribers(t TopicID) []SubID {
 	return w.topicSubs[w.topicOff[t]:w.topicOff[t+1]]
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -415,6 +416,63 @@ func TestWithRegions(t *testing.T) {
 	} {
 		if _, err := w.WithRegions(tc.topics, tc.subs); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// subscribersAscending reports the first topic whose subscriber list is not
+// ascending in SubID, or -1.
+func subscribersAscending(w *Workload) TopicID {
+	for t := 0; t < w.NumTopics(); t++ {
+		subs := w.Subscribers(TopicID(t))
+		for i := 1; i < len(subs); i++ {
+			if subs[i] <= subs[i-1] {
+				return TopicID(t)
+			}
+		}
+	}
+	return -1
+}
+
+// Subscribers(t) is ascending in SubID whatever order the subscriber→topic
+// lists arrive in: FromCSR with shuffled lists, and Builder.Build with
+// subscriptions added in reverse.
+func TestSubscribersAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for c := 0; c < 50; c++ {
+		numT, n := 1+rng.Intn(20), 1+rng.Intn(80)
+		rates := make([]int64, numT)
+		for i := range rates {
+			rates[i] = 1 + rng.Int63n(9)
+		}
+		subOff := []int64{0}
+		var subTopics []TopicID
+		b := NewBuilder()
+		for v := 0; v < n; v++ {
+			for _, tid := range rng.Perm(numT)[:1+rng.Intn(numT)] {
+				subTopics = append(subTopics, TopicID(tid))
+			}
+			subOff = append(subOff, int64(len(subTopics)))
+		}
+		for v := n - 1; v >= 0; v-- {
+			for _, tid := range subTopics[subOff[v]:subOff[v+1]] {
+				b.AddTopic(fmt.Sprintf("t%d", tid), rates[tid])
+				b.AddSubscription(fmt.Sprintf("v%d", v), fmt.Sprintf("t%d", tid))
+			}
+		}
+		w, err := FromCSR(rates, subOff, subTopics, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tid := subscribersAscending(w); tid >= 0 {
+			t.Fatalf("case %d: FromCSR topic %d subscribers %v", c, tid, w.Subscribers(tid))
+		}
+		bw, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tid := subscribersAscending(bw); tid >= 0 {
+			t.Fatalf("case %d: Build topic %d subscribers %v", c, tid, bw.Subscribers(tid))
 		}
 	}
 }
