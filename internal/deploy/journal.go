@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/pricing"
@@ -52,6 +53,16 @@ const maxJournalRecord = 1 << 30
 // ErrCorruptJournal reports a journal whose bytes are damaged beyond the
 // torn-tail case or whose records violate the fingerprint chain.
 var ErrCorruptJournal = errors.New("deploy: corrupt journal")
+
+// ErrJournalFailed reports a journal that has stopped accepting work
+// because a write, an fsync, or the directory sync after a compaction
+// failed. After a failed fsync Linux may already have dropped the dirty
+// pages and cleared the error, so a later fsync that succeeds proves
+// nothing (PostgreSQL's "fsyncgate"); after a failed write the file may
+// end in a partial record. The journal therefore fails every later
+// append, Sync and Compact with this error, wrapping the first failure.
+// Recover the file and open a new Journal to continue.
+var ErrJournalFailed = errors.New("deploy: journal failed")
 
 // RecordType tags one journal record.
 type RecordType byte
@@ -125,6 +136,9 @@ type Journal struct {
 	codec    JournalCodec
 	opts     JournalOptions
 	unsynced int
+	// failed is the first write or sync error; once set, the journal
+	// refuses all further work (see ErrJournalFailed).
+	failed error
 }
 
 // OpenJournal opens (or creates) the journal at path for appending. An
@@ -235,12 +249,15 @@ func (j *Journal) AppendPlanAbort(epoch int64, baseFingerprint string) error {
 }
 
 func (j *Journal) append(rec Record, forceSync bool) error {
-	framed := frameRecord(encodeRecord(rec))
-	if _, err := j.f.Write(framed); err != nil {
-		return err
+	if j.failed != nil {
+		return j.refuse()
+	}
+	n, err := writeRecord(j.f, rec)
+	if err != nil {
+		return j.fail(err)
 	}
 	if j.opts.Hooks.Appended != nil {
-		j.opts.Hooks.Appended(len(framed))
+		j.opts.Hooks.Appended(n)
 	}
 	j.unsynced++
 	if forceSync || j.unsynced >= j.opts.SyncEvery {
@@ -251,6 +268,9 @@ func (j *Journal) append(rec Record, forceSync bool) error {
 
 // Sync forces any batched records to disk.
 func (j *Journal) Sync() error {
+	if j.failed != nil {
+		return j.refuse()
+	}
 	if j.unsynced == 0 {
 		return nil
 	}
@@ -260,13 +280,25 @@ func (j *Journal) Sync() error {
 func (j *Journal) sync() error {
 	start := time.Now()
 	if err := j.f.Sync(); err != nil {
-		return err
+		return j.fail(err)
 	}
 	if j.opts.Hooks.Fsync != nil {
 		j.opts.Hooks.Fsync(time.Since(start).Seconds())
 	}
 	j.unsynced = 0
 	return nil
+}
+
+// fail records err as the journal's first failure and returns it wrapped
+// in ErrJournalFailed.
+func (j *Journal) fail(err error) error {
+	j.failed = err
+	return fmt.Errorf("%w: %w", ErrJournalFailed, err)
+}
+
+// refuse reports the first failure to a caller arriving after it.
+func (j *Journal) refuse() error {
+	return fmt.Errorf("%w: earlier failure: %w", ErrJournalFailed, j.failed)
 }
 
 // Close syncs and closes the journal file.
@@ -287,6 +319,9 @@ func (j *Journal) Close() error {
 // to a temp file, fsynced, and renamed over the journal, so a crash at
 // any point leaves either the old journal or the new one — never a mix.
 func (j *Journal) Compact(epoch int64, snap *Plan) error {
+	if j.failed != nil {
+		return j.refuse()
+	}
 	body, err := j.codec.EncodePlan(snap)
 	if err != nil {
 		return err
@@ -296,14 +331,14 @@ func (j *Journal) Compact(epoch int64, snap *Plan) error {
 	if err != nil {
 		return err
 	}
-	rec := frameRecord(encodeRecord(Record{
-		Type: RecSnapshot, Epoch: epoch, Fingerprint: snap.TargetFingerprint(), Body: body,
-	}))
 	if _, err := f.WriteString(journalMagic); err != nil {
 		f.Close()
 		return err
 	}
-	if _, err := f.Write(rec); err != nil {
+	n, err := writeRecord(f, Record{
+		Type: RecSnapshot, Epoch: epoch, Fingerprint: snap.TargetFingerprint(), Body: body,
+	})
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -322,7 +357,9 @@ func (j *Journal) Compact(epoch int64, snap *Plan) error {
 		return err
 	}
 	if err := syncDir(filepath.Dir(j.path)); err != nil {
-		return err
+		// The rename happened but may not survive a power loss, and the
+		// open file is the replaced one: neither is safe to append to.
+		return j.fail(err)
 	}
 	old := j.f
 	nf, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
@@ -340,45 +377,58 @@ func (j *Journal) Compact(epoch int64, snap *Plan) error {
 		j.opts.Hooks.Compacted()
 	}
 	if j.opts.Hooks.Appended != nil {
-		j.opts.Hooks.Appended(len(rec))
+		j.opts.Hooks.Appended(n)
 	}
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename survives power loss.
-// Filesystems that refuse directory fsync (some return EINVAL) are
-// tolerated — the rename itself already happened.
+// syncDir fsyncs a directory so a rename survives power loss. Filesystems
+// that refuse directory fsync with EINVAL are tolerated — the rename itself
+// already happened; any other error is returned.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
+	err = d.Sync()
+	if errors.Is(err, syscall.EINVAL) {
+		err = nil
+	}
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// encodeRecord serializes one record payload (unframed).
-func encodeRecord(rec Record) []byte {
-	buf := make([]byte, 0, 16+len(rec.Fingerprint)+len(rec.Body))
-	buf = append(buf, byte(rec.Type))
-	buf = binary.AppendVarint(buf, rec.Epoch)
-	buf = binary.AppendVarint(buf, rec.Step)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Fingerprint)))
-	buf = append(buf, rec.Fingerprint...)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Body)))
-	buf = append(buf, rec.Body...)
-	return buf
+// writeRecord writes one framed record and returns its size: the frame
+// (payload length and CRC32) and the payload's fields up to the body go
+// out in one write, the body in a second, so a large plan body is never
+// copied into a frame buffer.
+func writeRecord(w io.Writer, rec Record) (int, error) {
+	head := make([]byte, 0, 48+len(rec.Fingerprint))
+	head = append(head, byte(rec.Type))
+	head = binary.AppendVarint(head, rec.Epoch)
+	head = binary.AppendVarint(head, rec.Step)
+	head = binary.AppendUvarint(head, uint64(len(rec.Fingerprint)))
+	head = append(head, rec.Fingerprint...)
+	head = binary.AppendUvarint(head, uint64(len(rec.Body)))
+	crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, rec.Body)
+
+	frame := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+4+len(head)), uint64(len(head)+len(rec.Body)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc)
+	frame = append(frame, head...)
+	if _, err := w.Write(frame); err != nil {
+		return 0, err
+	}
+	if len(rec.Body) > 0 {
+		if _, err := w.Write(rec.Body); err != nil {
+			return 0, err
+		}
+	}
+	return len(frame) + len(rec.Body), nil
 }
 
-// frameRecord wraps a payload with its length and CRC.
-func frameRecord(payload []byte) []byte {
-	framed := binary.AppendUvarint(nil, uint64(len(payload)))
-	framed = binary.LittleEndian.AppendUint32(framed, crc32.ChecksumIEEE(payload))
-	return append(framed, payload...)
-}
-
-// decodeRecord parses one payload produced by encodeRecord.
+// decodeRecord parses one payload written by writeRecord.
 func decodeRecord(payload []byte) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, fmt.Errorf("%w: empty record", ErrCorruptJournal)

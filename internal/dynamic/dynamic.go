@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -549,39 +550,120 @@ func placeOn(vm *core.VM, t workload.TopicID, rb int64, subs []workload.SubID, h
 	vm.OutBytesPerHour += rb * int64(len(subs))
 }
 
-// migrationBetween diffs primary pair hosts by VM position.
+// migrationBetween diffs primary pair hosts by VM position: a pair's host
+// is the first (lowest-index) VM serving it, and the pair is kept when
+// that slot is the same before and after. Both sides are walked topic by
+// topic in one merge over their placements sorted by topic; within a
+// topic, each (subscriber, slot) is packed into a uint64, so a sort —
+// skipped when the placement lists are already in order — puts every
+// subscriber's first host at the head of its run.
 func migrationBetween(before, after *core.Allocation) MigrationStats {
-	type key struct {
-		t workload.TopicID
-		v workload.SubID
-	}
-	host := func(a *core.Allocation) map[key]int {
-		m := make(map[key]int)
-		for i, vm := range a.VMs {
-			for _, p := range vm.Placements {
-				for _, v := range p.Subs {
-					k := key{p.Topic, v}
-					if _, ok := m[k]; !ok {
-						m[k] = i
-					}
-				}
-			}
+	pb, pa := topicOrder(before), topicOrder(after)
+	var (
+		stats        MigrationStats
+		hostB, hostA []uint64
+	)
+	for i, j := 0, 0; i < len(pb.keys) || j < len(pa.keys); {
+		var t uint64
+		switch {
+		case j == len(pa.keys):
+			t = pb.keys[i] >> 32
+		case i == len(pb.keys):
+			t = pa.keys[j] >> 32
+		default:
+			t = min(pb.keys[i]>>32, pa.keys[j]>>32)
 		}
-		return m
+		hostB, i = pb.hosts(hostB[:0], i, t)
+		hostA, j = pa.hosts(hostA[:0], j, t)
+		kept, moved := compareHosts(hostB, hostA)
+		stats.PairsKept += kept
+		stats.PairsMoved += moved
 	}
-	hb, ha := host(before), host(after)
-	var stats MigrationStats
-	for k, vm := range ha {
-		if old, ok := hb[k]; ok && old == vm {
-			stats.PairsKept++
-		} else {
-			stats.PairsMoved++
-		}
-		delete(hb, k)
-	}
-	// Pairs present before but dropped now also count as moved.
-	stats.PairsMoved += int64(len(hb))
 	return stats
+}
+
+// placementIndex lists an allocation's placements in topic order: keys
+// packs each placement's topic (high 32 bits) over its VM-major position
+// (low 32 bits), sorted ascending, and vm and subs are indexed by that
+// position.
+type placementIndex struct {
+	keys []uint64
+	vm   []uint32
+	subs [][]workload.SubID
+}
+
+func topicOrder(a *core.Allocation) placementIndex {
+	var pi placementIndex
+	if a == nil {
+		return pi
+	}
+	n := 0
+	for _, vm := range a.VMs {
+		n += len(vm.Placements)
+	}
+	pi.keys = make([]uint64, 0, n)
+	pi.vm = make([]uint32, 0, n)
+	pi.subs = make([][]workload.SubID, 0, n)
+	for i, vm := range a.VMs {
+		for _, p := range vm.Placements {
+			pi.keys = append(pi.keys, uint64(uint32(p.Topic))<<32|uint64(len(pi.vm)))
+			pi.vm = append(pi.vm, uint32(i))
+			pi.subs = append(pi.subs, p.Subs)
+		}
+	}
+	if !slices.IsSorted(pi.keys) {
+		slices.Sort(pi.keys)
+	}
+	return pi
+}
+
+// hosts appends, for the placements of topic t starting at keys[k], every
+// subscriber packed over its slot (subscriber in the high 32 bits), sorted
+// ascending, and returns the position past topic t.
+func (pi placementIndex) hosts(buf []uint64, k int, t uint64) ([]uint64, int) {
+	for ; k < len(pi.keys) && pi.keys[k]>>32 == t; k++ {
+		pos := uint32(pi.keys[k])
+		vm := uint64(pi.vm[pos])
+		for _, v := range pi.subs[pos] {
+			buf = append(buf, uint64(uint32(v))<<32|vm)
+		}
+	}
+	if !slices.IsSorted(buf) {
+		slices.Sort(buf)
+	}
+	return buf, k
+}
+
+// compareHosts counts one topic's kept and moved pairs from its sorted
+// (subscriber, slot) lists before and after. The first entry of each
+// subscriber's run is its host; later entries (the same pair on another
+// VM) are skipped.
+func compareHosts(before, after []uint64) (kept, moved int64) {
+	next := func(hs []uint64, i int) int {
+		v := hs[i] >> 32
+		for i++; i < len(hs) && hs[i]>>32 == v; i++ {
+		}
+		return i
+	}
+	i, j := 0, 0
+	for i < len(before) || j < len(after) {
+		switch {
+		case j == len(after) || (i < len(before) && before[i]>>32 < after[j]>>32):
+			moved++ // dropped
+			i = next(before, i)
+		case i == len(before) || after[j]>>32 < before[i]>>32:
+			moved++ // newly placed
+			j = next(after, j)
+		default:
+			if before[i] == after[j] {
+				kept++
+			} else {
+				moved++
+			}
+			i, j = next(before, i), next(after, j)
+		}
+	}
+	return kept, moved
 }
 
 // ApplyDelta materializes a new workload with the delta applied (after

@@ -2,7 +2,7 @@ package dynamic
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -412,64 +412,70 @@ func compactSlots(slots []*core.VM, base *core.Allocation, messageBytes int64) (
 // when the live state no longer matches. Accounting fields are derived and
 // excluded. A nil workload or allocation hashes like an empty one, so the
 // fingerprint of a never-deployed cluster is well defined.
+//
+// The workload section is memoized on the (immutable) workload — see
+// workload.FingerprintPrefix — so each call hashes only the allocation.
 func StateFingerprint(w *workload.Workload, alloc *core.Allocation) string {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	wr := func(vs ...int64) {
-		for _, v := range vs {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
+	if w == nil {
+		w = emptyWorkload
+	}
+	h := w.FingerprintPrefix()
+	if alloc == nil {
+		return fmt.Sprintf("%016x", uint64(h.Word(0)))
+	}
+	h = h.Word(int64(len(alloc.VMs)))
+	var (
+		order []int
+		subs  []workload.SubID
+	)
+	for _, vm := range alloc.VMs {
+		h = h.Text(vm.Instance.Name).
+			Word(int64(vm.Instance.HourlyRate)).
+			Word(vm.Instance.LinkMbps).
+			Word(vm.CapacityBytesPerHour).
+			Word(int64(len(vm.Placements)))
+		// Placement list order and subscriber order within a placement
+		// are incidental (different packers and replayed steps produce
+		// different orders for the same state), so the hash canonicalizes
+		// both: topics ascending, subs ascending. Lists already in order
+		// are hashed in place.
+		ps := vm.Placements
+		order = order[:0]
+		for i := range ps {
+			order = append(order, i)
+		}
+		if !topicsAscending(ps) {
+			sort.Slice(order, func(a, b int) bool { return ps[order[a]].Topic < ps[order[b]].Topic })
+		}
+		for _, pi := range order {
+			p := &ps[pi]
+			vs := p.Subs
+			if !slices.IsSorted(vs) {
+				subs = append(subs[:0], vs...)
+				slices.Sort(subs)
+				vs = subs
 			}
-			h.Write(buf)
+			h = h.Word(int64(p.Topic)).Word(int64(len(vs)))
+			for _, v := range vs {
+				h = h.Word(int64(v))
+			}
 		}
 	}
-	wr(int64(0x6d637373)) // domain tag
-	if w != nil {
-		wr(int64(w.NumTopics()), int64(w.NumSubscribers()), w.NumPairs())
-		for _, r := range w.Rates() {
-			wr(r)
+	return fmt.Sprintf("%016x", uint64(h))
+}
+
+// emptyWorkload stands in for a nil workload in StateFingerprint.
+var emptyWorkload = &workload.Workload{}
+
+// topicsAscending reports whether placements list strictly ascending
+// topics — the canonical order StateFingerprint would otherwise sort into.
+func topicsAscending(ps []core.TopicPlacement) bool {
+	for i := 1; i < len(ps); i++ {
+		if ps[i].Topic <= ps[i-1].Topic {
+			return false
 		}
-		for v := 0; v < w.NumSubscribers(); v++ {
-			ts := w.Topics(workload.SubID(v))
-			wr(int64(len(ts)))
-			for _, t := range ts {
-				wr(int64(t))
-			}
-		}
-	} else {
-		wr(0, 0, 0)
 	}
-	if alloc != nil {
-		wr(int64(len(alloc.VMs)))
-		var subs []workload.SubID
-		for _, vm := range alloc.VMs {
-			h.Write([]byte(vm.Instance.Name))
-			wr(int64(vm.Instance.HourlyRate), vm.Instance.LinkMbps, vm.CapacityBytesPerHour, int64(len(vm.Placements)))
-			// Placement list order and subscriber order within a
-			// placement are incidental (different packers and replayed
-			// steps produce different orders for the same state), so the
-			// hash canonicalizes both: topics ascending, subs ascending.
-			order := make([]int, len(vm.Placements))
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool {
-				return vm.Placements[order[a]].Topic < vm.Placements[order[b]].Topic
-			})
-			for _, pi := range order {
-				p := vm.Placements[pi]
-				subs = append(subs[:0], p.Subs...)
-				sort.Slice(subs, func(a, b int) bool { return subs[a] < subs[b] })
-				wr(int64(p.Topic), int64(len(subs)))
-				for _, s := range subs {
-					wr(int64(s))
-				}
-			}
-		}
-	} else {
-		wr(0)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return true
 }
 
 // Restore rebuilds a Provisioner around an externally persisted state

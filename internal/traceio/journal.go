@@ -18,13 +18,7 @@ import (
 // but violates plan invariants with deploy.ErrInvalidPlan.
 func PlanJournalCodec() deploy.JournalCodec {
 	return deploy.JournalCodec{
-		EncodePlan: func(p *deploy.Plan) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := WritePlan(p, &buf); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
+		EncodePlan: encodePlan,
 		DecodePlan: func(b []byte) (*deploy.Plan, error) {
 			return ReadPlan(bytes.NewReader(b))
 		},

@@ -1,15 +1,17 @@
 package traceio
 
 import (
-	"bytes"
+	"cmp"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/deploy"
@@ -36,6 +38,8 @@ import (
 
 const planFormat = "mcss-plan"
 
+// planDoc is the document's schema. ReadPlan decodes into it; the writer
+// (encodePlan) emits the same layout without building one.
 type planDoc struct {
 	Format          string           `json:"format"`
 	Version         int              `json:"version"`
@@ -126,43 +130,10 @@ type targetDoc struct {
 // part of the format: plans address topics and subscribers by dense ID,
 // like every other codec in this package.
 func WritePlan(p *deploy.Plan, out io.Writer) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	doc := planDoc{
-		Format:          planFormat,
-		Version:         p.Version,
-		BaseFingerprint: p.BaseFingerprint,
-		Tau:             p.Tau,
-		MessageBytes:    p.MessageBytes,
-		Model: modelDoc{
-			Instance:         instToDoc(p.Model.Instance),
-			Hours:            p.Model.Hours,
-			PerGB:            p.Model.PerGB,
-			CapacityOverride: p.Model.CapacityOverrideBytesPerHour,
-		},
-		Diff:       diffToDoc(p.Diff),
-		CostBefore: p.CostBefore,
-		CostAfter:  p.CostAfter,
-		Target: targetDoc{
-			Workload:   workloadToDoc(p.Target.Workload),
-			Allocation: allocToDoc(p.Target.Allocation),
-		},
-	}
-	for i := 0; i < p.Fleet.Len(); i++ {
-		doc.Fleet = append(doc.Fleet, fleetTypeDoc{
-			instanceDoc: instToDoc(p.Fleet.Type(i)),
-			Capacity:    p.Fleet.Capacity(i),
-		})
-	}
-	for _, s := range p.Steps {
-		doc.Steps = append(doc.Steps, stepToDoc(s))
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
+	b, err := encodePlan(p)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
 	_, err = out.Write(b)
 	return err
 }
@@ -239,13 +210,10 @@ func ReadPlan(in io.Reader) (*deploy.Plan, error) {
 
 // SavePlan writes a validated plan to path; a ".gz" suffix enables gzip.
 func SavePlan(p *deploy.Plan, path string) (err error) {
-	// Validate before creating the file so a bad plan does not truncate
-	// an existing good one.
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := WritePlan(p, &buf); err != nil {
+	// Encode (which validates) before creating the file so a bad plan
+	// does not truncate an existing good one.
+	b, err := encodePlan(p)
+	if err != nil {
 		return err
 	}
 	f, err := os.Create(path)
@@ -267,7 +235,7 @@ func SavePlan(p *deploy.Plan, path string) (err error) {
 		}()
 		out = gz
 	}
-	_, err = out.Write(buf.Bytes())
+	_, err = out.Write(b)
 	return err
 }
 
@@ -297,39 +265,6 @@ func instToDoc(it pricing.InstanceType) instanceDoc {
 
 func instFromDoc(d instanceDoc) pricing.InstanceType {
 	return pricing.InstanceType{Name: d.Name, HourlyRate: d.HourlyRate, LinkMbps: d.LinkMbps, Region: d.Region}
-}
-
-func diffToDoc(d deploy.Diff) diffDoc {
-	doc := diffDoc{
-		NewTopics:      d.Delta.NewTopics,
-		NewSubscribers: d.Delta.NewSubscribers,
-		PairsMoved:     d.Stats.PairsMoved,
-		PairsKept:      d.Stats.PairsKept,
-		VMsBefore:      d.Stats.VMsBefore,
-		VMsAfter:       d.Stats.VMsAfter,
-	}
-	for t, r := range d.Delta.RateChanges {
-		doc.RateChanges = append(doc.RateChanges, pairDoc{int64(t), r})
-	}
-	sort.Slice(doc.RateChanges, func(i, j int) bool { return doc.RateChanges[i][0] < doc.RateChanges[j][0] })
-	for _, p := range d.Delta.Subscribe {
-		doc.Subscribe = append(doc.Subscribe, pairDoc{int64(p.Topic), int64(p.Sub)})
-	}
-	for _, p := range d.Delta.Unsubscribe {
-		doc.Unsubscribe = append(doc.Unsubscribe, pairDoc{int64(p.Topic), int64(p.Sub)})
-	}
-	sortPairDocs(doc.Subscribe)
-	sortPairDocs(doc.Unsubscribe)
-	return doc
-}
-
-func sortPairDocs(ps []pairDoc) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
 }
 
 func diffFromDoc(doc diffDoc) (deploy.Diff, error) {
@@ -395,23 +330,6 @@ func asSubID(v int64) (workload.SubID, error) {
 	return workload.SubID(v), nil
 }
 
-func stepToDoc(s dynamic.Step) stepDoc {
-	doc := stepDoc{Op: string(s.Op), VM: s.VM}
-	switch s.Op {
-	case dynamic.OpBootVM:
-		inst := instToDoc(s.Instance)
-		doc.Instance = &inst
-		doc.Capacity = s.Capacity
-	case dynamic.OpPlace, dynamic.OpRemove:
-		t := int64(s.Topic)
-		doc.Topic = &t
-		for _, v := range s.Subs {
-			doc.Subs = append(doc.Subs, int64(v))
-		}
-	}
-	return doc
-}
-
 func stepFromDoc(doc stepDoc) (dynamic.Step, error) {
 	s := dynamic.Step{Op: dynamic.StepOp(doc.Op), VM: doc.VM}
 	switch s.Op {
@@ -443,29 +361,6 @@ func stepFromDoc(doc stepDoc) (dynamic.Step, error) {
 	return s, nil
 }
 
-func workloadToDoc(w *workload.Workload) workloadDoc {
-	doc := workloadDoc{
-		Rates:      w.Rates(),
-		SubOffsets: make([]int64, 0, w.NumSubscribers()+1),
-		SubTopics:  make([]int64, 0, w.NumPairs()),
-	}
-	if doc.Rates == nil {
-		doc.Rates = []int64{}
-	}
-	doc.SubOffsets = append(doc.SubOffsets, 0)
-	for v := 0; v < w.NumSubscribers(); v++ {
-		for _, t := range w.Topics(workload.SubID(v)) {
-			doc.SubTopics = append(doc.SubTopics, int64(t))
-		}
-		doc.SubOffsets = append(doc.SubOffsets, int64(len(doc.SubTopics)))
-	}
-	if w.HasRegions() {
-		doc.TopicRegions = w.TopicRegions()
-		doc.SubRegions = w.SubscriberRegions()
-	}
-	return doc
-}
-
 func workloadFromDoc(doc workloadDoc) (*workload.Workload, error) {
 	rates := doc.Rates
 	if rates == nil {
@@ -491,22 +386,6 @@ func workloadFromDoc(doc workloadDoc) (*workload.Workload, error) {
 		return w.WithRegions(doc.TopicRegions, doc.SubRegions)
 	}
 	return w, nil
-}
-
-func allocToDoc(a *core.Allocation) []vmDoc {
-	docs := make([]vmDoc, 0, len(a.VMs))
-	for _, vm := range a.VMs {
-		d := vmDoc{Instance: instToDoc(vm.Instance), Capacity: vm.CapacityBytesPerHour}
-		for _, p := range vm.Placements {
-			pd := placementDoc{Topic: int64(p.Topic), Subs: make([]int64, 0, len(p.Subs))}
-			for _, v := range p.Subs {
-				pd.Subs = append(pd.Subs, int64(v))
-			}
-			d.Placements = append(d.Placements, pd)
-		}
-		docs = append(docs, d)
-	}
-	return docs
 }
 
 // allocFromDoc rebuilds the allocation, recomputing the bandwidth
@@ -547,4 +426,456 @@ func allocFromDoc(docs []vmDoc, w *workload.Workload, messageBytes int64, fleet 
 		alloc.VMs = append(alloc.VMs, vm)
 	}
 	return alloc, nil
+}
+
+// encodePlan validates the plan and returns its document: the one encoder
+// behind WritePlan, SavePlan and the journal codec. It writes exactly the
+// bytes json.MarshalIndent(planDoc, "", "  ") does, plus a newline, but
+// walks the plan directly into one buffer sized up front: no reflection
+// and no intermediate planDoc, whose per-pair slices a churn-size plan
+// would otherwise copy twice. planDoc's tags define the layout the
+// encoder follows (field order, omitempty, null for an empty fleet or
+// step list) and ReadPlan parses.
+func encodePlan(p *deploy.Plan) ([]byte, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	e := planEncoder{b: make([]byte, 0, planSizeHint(p))}
+	e.plan(p)
+	return append(e.b, '\n'), nil
+}
+
+// planEncoder appends an indented JSON document. It tracks only the
+// nesting depth and whether the innermost open object or array is still
+// empty, which is all MarshalIndent's layout depends on: each member on
+// its own line, two spaces per level, and "{}" / "[]" when empty.
+type planEncoder struct {
+	b     []byte
+	depth int
+	empty bool
+}
+
+// planSep is a member separator: a comma, a line break, and indentation
+// covering the deepest nesting of the plan schema (a placement's
+// subscribers sit at depth 7).
+const planSep = ",\n                "
+
+func (e *planEncoder) open(c byte) {
+	e.b = append(e.b, c)
+	e.depth++
+	e.empty = true
+}
+
+func (e *planEncoder) close(c byte) {
+	e.depth--
+	if !e.empty {
+		e.newline()
+	}
+	e.b = append(e.b, c)
+	e.empty = false
+}
+
+func (e *planEncoder) newline() {
+	e.b = append(e.b, planSep[1:2+2*e.depth]...)
+}
+
+// elem starts the next member of the innermost object or array.
+func (e *planEncoder) elem() {
+	if !e.empty {
+		e.b = append(e.b, ',')
+	}
+	e.empty = false
+	e.newline()
+}
+
+func (e *planEncoder) key(k string) {
+	e.elem()
+	e.b = append(e.b, '"')
+	e.b = append(e.b, k...)
+	e.b = append(e.b, '"', ':', ' ')
+}
+
+func (e *planEncoder) num(k string, v int64) {
+	e.key(k)
+	e.b = appendInt(e.b, v)
+}
+
+func (e *planEncoder) text(k, v string) {
+	e.key(k)
+	e.b = appendJSONString(e.b, v)
+}
+
+// money writes MicroUSD's JSON form, its decimal text quoted.
+func (e *planEncoder) money(k string, m pricing.MicroUSD) {
+	e.key(k)
+	t, _ := m.MarshalText() // never fails
+	e.b = append(e.b, '"')
+	e.b = append(e.b, t...)
+	e.b = append(e.b, '"')
+}
+
+func (e *planEncoder) null(k string) {
+	e.key(k)
+	e.b = append(e.b, "null"...)
+}
+
+// ints writes vs as members of the open array, one per line. It is the
+// encoder's hot loop — the target's CSR and placements are nearly all of
+// a large plan — so each member costs one separator copy and an in-place
+// digit write.
+func ints[T ~int32 | ~int64](e *planEncoder, vs []T) {
+	if len(vs) == 0 {
+		return
+	}
+	e.elem()
+	sep, b := planSep[:2+2*e.depth], appendInt(e.b, int64(vs[0]))
+	for _, v := range vs[1:] {
+		b = append(b, sep...)
+		b = appendInt(b, int64(v))
+	}
+	e.b = b
+}
+
+// digitPairs holds the two-digit decimal forms of 00 through 99.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// appendInt appends v in decimal, exactly like strconv.AppendInt(b, v, 10).
+// Values in [0, 1e9) — every ID, offset and rate of a realistic plan —
+// are written in place two digits at a time when b has room.
+func appendInt(b []byte, v int64) []byte {
+	if v < 0 || v >= 1e9 {
+		return strconv.AppendInt(b, v, 10)
+	}
+	n := 1
+	for p := int64(10); p <= v; p *= 10 {
+		n++
+	}
+	l := len(b)
+	if cap(b)-l < n {
+		return strconv.AppendInt(b, v, 10)
+	}
+	b = b[:l+n]
+	u, i := uint32(v), l+n
+	for u >= 100 {
+		r := u % 100
+		u /= 100
+		i -= 2
+		b[i], b[i+1] = digitPairs[2*r], digitPairs[2*r+1]
+	}
+	if u >= 10 {
+		b[i-2], b[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[i-1] = byte('0' + u)
+	}
+	return b
+}
+
+// intArray writes a keyed array of vs; omitEmpty drops the key when vs is
+// empty, like an omitempty slice.
+func intArray[T ~int32 | ~int64](e *planEncoder, k string, vs []T, omitEmpty bool) {
+	if omitEmpty && len(vs) == 0 {
+		return
+	}
+	e.key(k)
+	e.open('[')
+	ints(e, vs)
+	e.close(']')
+}
+
+func (e *planEncoder) plan(p *deploy.Plan) {
+	e.open('{')
+	e.text("format", planFormat)
+	e.num("version", int64(p.Version))
+	e.text("base_fingerprint", p.BaseFingerprint)
+	e.num("tau", p.Tau)
+	e.num("message_bytes", p.MessageBytes)
+
+	e.key("model")
+	e.open('{')
+	e.key("instance")
+	e.instance(p.Model.Instance)
+	e.num("hours", p.Model.Hours)
+	e.money("per_gb", p.Model.PerGB)
+	if c := p.Model.CapacityOverrideBytesPerHour; c != 0 {
+		e.num("capacity_override_bytes_per_hour", c)
+	}
+	e.close('}')
+
+	if p.Fleet.Len() == 0 {
+		e.null("fleet")
+	} else {
+		e.key("fleet")
+		e.open('[')
+		for i := 0; i < p.Fleet.Len(); i++ {
+			e.elem()
+			e.open('{')
+			e.instanceFields(p.Fleet.Type(i))
+			e.num("capacity_bytes_per_hour", p.Fleet.Capacity(i))
+			e.close('}')
+		}
+		e.close(']')
+	}
+
+	e.key("diff")
+	e.diff(p.Diff)
+	e.money("cost_before", p.CostBefore)
+	e.money("cost_after", p.CostAfter)
+
+	if len(p.Steps) == 0 {
+		e.null("steps")
+	} else {
+		e.key("steps")
+		e.open('[')
+		for _, s := range p.Steps {
+			e.step(s)
+		}
+		e.close(']')
+	}
+
+	e.key("target")
+	e.open('{')
+	e.key("workload")
+	e.workload(p.Target.Workload)
+	e.key("allocation")
+	e.allocation(p.Target.Allocation)
+	e.close('}')
+	e.close('}')
+}
+
+func (e *planEncoder) instance(it pricing.InstanceType) {
+	e.open('{')
+	e.instanceFields(it)
+	e.close('}')
+}
+
+// instanceFields writes instanceDoc's members into the open object (the
+// fleet entries embed them).
+func (e *planEncoder) instanceFields(it pricing.InstanceType) {
+	e.text("name", it.Name)
+	e.money("hourly_rate", it.HourlyRate)
+	e.num("link_mbps", it.LinkMbps)
+	if it.Region != "" {
+		e.text("region", it.Region)
+	}
+}
+
+func (e *planEncoder) diff(d deploy.Diff) {
+	e.open('{')
+	intArray(e, "new_topics", d.Delta.NewTopics, true)
+	if d.Delta.NewSubscribers != 0 {
+		e.num("new_subscribers", int64(d.Delta.NewSubscribers))
+	}
+	if len(d.Delta.RateChanges) > 0 {
+		rcs := make([][2]int64, 0, len(d.Delta.RateChanges))
+		for t, r := range d.Delta.RateChanges {
+			rcs = append(rcs, [2]int64{int64(t), r})
+		}
+		slices.SortFunc(rcs, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+		e.pairs("rate_changes", rcs)
+	}
+	e.pairList("subscribe", d.Delta.Subscribe)
+	e.pairList("unsubscribe", d.Delta.Unsubscribe)
+	e.num("pairs_moved", d.Stats.PairsMoved)
+	e.num("pairs_kept", d.Stats.PairsKept)
+	e.num("vms_before", int64(d.Stats.VMsBefore))
+	e.num("vms_after", int64(d.Stats.VMsAfter))
+	e.close('}')
+}
+
+// pairList writes topic–subscriber pairs sorted by topic, then subscriber,
+// omitting the key when there are none.
+func (e *planEncoder) pairList(k string, ps []workload.Pair) {
+	if len(ps) == 0 {
+		return
+	}
+	sorted := make([][2]int64, len(ps))
+	for i, p := range ps {
+		sorted[i] = [2]int64{int64(p.Topic), int64(p.Sub)}
+	}
+	slices.SortFunc(sorted, func(a, b [2]int64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	e.pairs(k, sorted)
+}
+
+func (e *planEncoder) pairs(k string, ps [][2]int64) {
+	e.key(k)
+	e.open('[')
+	for _, p := range ps {
+		e.elem()
+		e.open('[')
+		ints(e, p[:])
+		e.close(']')
+	}
+	e.close(']')
+}
+
+func (e *planEncoder) step(s dynamic.Step) {
+	e.elem()
+	e.open('{')
+	e.text("op", string(s.Op))
+	e.num("vm", int64(s.VM))
+	switch s.Op {
+	case dynamic.OpBootVM:
+		e.key("instance")
+		e.instance(s.Instance)
+		if s.Capacity != 0 {
+			e.num("capacity_bytes_per_hour", s.Capacity)
+		}
+	case dynamic.OpPlace, dynamic.OpRemove:
+		e.num("topic", int64(s.Topic))
+		intArray(e, "subs", s.Subs, true)
+	}
+	e.close('}')
+}
+
+func (e *planEncoder) workload(w *workload.Workload) {
+	e.open('{')
+	intArray(e, "rates", w.Rates(), false)
+
+	e.key("sub_offsets")
+	e.open('[')
+	e.elem()
+	e.b = append(e.b, '0')
+	sep := planSep[:2+2*e.depth]
+	var off int64
+	for v := 0; v < w.NumSubscribers(); v++ {
+		off += int64(w.Followings(workload.SubID(v)))
+		e.b = append(e.b, sep...)
+		e.b = appendInt(e.b, off)
+	}
+	e.close(']')
+
+	e.key("sub_topics")
+	e.open('[')
+	for v := 0; v < w.NumSubscribers(); v++ {
+		ints(e, w.Topics(workload.SubID(v)))
+	}
+	e.close(']')
+
+	intArray(e, "topic_regions", w.TopicRegions(), true)
+	intArray(e, "sub_regions", w.SubscriberRegions(), true)
+	e.close('}')
+}
+
+func (e *planEncoder) allocation(a *core.Allocation) {
+	e.open('[')
+	for _, vm := range a.VMs {
+		e.elem()
+		e.open('{')
+		e.key("instance")
+		e.instance(vm.Instance)
+		e.num("capacity_bytes_per_hour", vm.CapacityBytesPerHour)
+		if len(vm.Placements) > 0 {
+			e.key("placements")
+			e.open('[')
+			for _, p := range vm.Placements {
+				e.elem()
+				e.open('{')
+				e.num("topic", int64(p.Topic))
+				intArray(e, "subs", p.Subs, false)
+				e.close('}')
+			}
+			e.close(']')
+		}
+		e.close('}')
+	}
+	e.close(']')
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json
+// writes it: '"' and '\\' backslash-escaped, \b \f \n \r \t short-escaped,
+// other control bytes and the HTML-sensitive '<', '>' and '&' as \u00XX,
+// U+2028 and U+2029 as \u2028 and \u2029, and each byte of invalid UTF-8
+// as \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
+// planSizeHint bounds the encoded size of p from its element counts: each
+// array member costs its line break, its indentation and at most the
+// digits of the widest value in its array. The target's topic lists, the
+// bulk of a large plan, are sized exactly from the per-topic follower
+// counts, so the encoder allocates once and wastes little.
+func planSizeHint(p *deploy.Plan) int {
+	var digits [20]byte
+	member := func(depth int, maxVal int64) int {
+		return 2 + 2*depth + len(strconv.AppendInt(digits[:0], maxVal, 10))
+	}
+	w, a := p.Target.Workload, p.Target.Allocation
+	numT, numV, numP := int64(w.NumTopics()), int64(w.NumSubscribers()), w.NumPairs()
+	n := 1024
+	for t, r := range w.Rates() {
+		// Topic t's rate, and its ID once per subscriber in sub_topics.
+		n += member(4, r) + w.Followers(workload.TopicID(t))*member(4, int64(t))
+	}
+	n += int(numV+1) * member(4, numP)
+	n += (len(w.TopicRegions()) + len(w.SubscriberRegions())) * member(4, math.MinInt32)
+	n += p.Fleet.Len() * 256
+	d := p.Diff.Delta
+	n += len(d.NewTopics) * member(3, math.MinInt64)
+	n += (len(d.RateChanges) + len(d.Subscribe) + len(d.Unsubscribe)) * (16 + 2*member(4, math.MinInt64))
+	for _, s := range p.Steps {
+		n += 128 + len(s.Subs)*member(4, numV)
+		if s.Op == dynamic.OpBootVM {
+			n += 256 + len(s.Instance.Name) + len(s.Instance.Region)
+		}
+	}
+	for _, vm := range a.VMs {
+		n += 256 + len(vm.Instance.Name) + len(vm.Instance.Region)
+		for _, pl := range vm.Placements {
+			n += 64 + member(6, numT) + len(pl.Subs)*member(7, numV)
+		}
+	}
+	return n
 }

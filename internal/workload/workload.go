@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // TopicID densely identifies a topic within one Workload.
@@ -55,6 +56,12 @@ type Workload struct {
 	// publisher lives; a subscriber's region is where deliveries terminate.
 	topicRegions []int32
 	subRegions   []int32
+
+	// fpOnce guards fp, the memoized FingerprintPrefix: the workload is
+	// immutable, so one hash of its section serves every fingerprint of
+	// every state built on it, from any goroutine.
+	fpOnce sync.Once
+	fp     FingerprintHash
 }
 
 // NumTopics reports the number of topics.
@@ -225,10 +232,17 @@ func (w *Workload) WithRegions(topicRegions, subRegions []int32) (*Workload, err
 			return nil, fmt.Errorf("workload: subscriber %d has negative region %d", v, r)
 		}
 	}
-	out := *w
-	out.topicRegions = topicRegions
-	out.subRegions = subRegions
-	return &out, nil
+	return &Workload{
+		rates:        w.rates,
+		subOff:       w.subOff,
+		subTopics:    w.subTopics,
+		topicOff:     w.topicOff,
+		topicSubs:    w.topicSubs,
+		topicNames:   w.topicNames,
+		subNames:     w.subNames,
+		topicRegions: topicRegions,
+		subRegions:   subRegions,
+	}, nil
 }
 
 // SubscriptionCardinality reports the paper's SC_v metric (Appendix D):
