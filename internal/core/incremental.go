@@ -609,8 +609,12 @@ func (s *IncrementalState) FinishEpoch(ctx context.Context, improveBudget int64)
 
 // evictOverfull walks the slots a rate spike pushed over capacity and
 // evicts pairs of the re-rated topics (newest placements first) until each
-// slot fits again. Only touched topics are candidates: untouched groups
-// fit by the pre-epoch invariant, so eviction always terminates.
+// slot fits again. Untouched groups fit by the pre-epoch invariant when the
+// state mirrors its own packing, but an adopted allocation may load a VM
+// past its recorded (headroom-derated) capacity, as the elastic
+// controller's kept epochs do; once a slot has no touched pairs left, its
+// newest untouched pairs go too (their topics become touched, their
+// subscribers dirty). Every eviction removes a pair, so the walk ends.
 func (s *IncrementalState) evictOverfull(ctx context.Context) error {
 	if len(s.overfull) == 0 {
 		return nil
@@ -635,7 +639,9 @@ func (s *IncrementalState) evictOverfull(ctx context.Context) error {
 				break
 			}
 			if !evicted {
-				return fmt.Errorf("core: slot %d over capacity with no touched pairs left", slot)
+				p := vm.Placements[len(vm.Placements)-1]
+				s.touched[p.Topic] = struct{}{}
+				s.evictPair(slot, p.Topic, p.Subs[len(p.Subs)-1])
 			}
 		}
 	}

@@ -17,6 +17,7 @@ import (
 var (
 	fingerprintSink string
 	statsSink       dynamic.MigrationStats
+	workloadSink    *workload.Workload
 )
 
 // churnEpoch is one 1%-churn epoch at the pipeline benchmark's
@@ -85,4 +86,39 @@ func BenchmarkMigrationStatsBetween(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		statsSink = dynamic.MigrationStatsBetween(before, after, m)
 	}
+}
+
+// BenchmarkApplyDelta swaps in the next workload of a diurnal day at the
+// pipeline benchmark's diurnal-replay size (~130k pairs): of the day's
+// consecutive epochs, the pair whose delta unsubscribes and resubscribes
+// the most pairs (sleep churn), on top of the rate change every topic gets.
+func BenchmarkApplyDelta(b *testing.B) {
+	w, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.05))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tl, err := tracegen.Diurnal(w, experiments.DiurnalModulation())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var base *workload.Workload
+	var delta dynamic.Delta
+	for e := 1; e < tl.NumEpochs(); e++ {
+		d, err := dynamic.DeltaBetween(tl.Epochs[e-1], tl.Epochs[e])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if base == nil || len(d.Subscribe)+len(d.Unsubscribe) > len(delta.Subscribe)+len(delta.Unsubscribe) {
+			base, delta = tl.Epochs[e-1], d
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if workloadSink, err = dynamic.ApplyDelta(base, delta); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(delta.Subscribe)+len(delta.Unsubscribe)), "pairs/delta")
+	b.ReportMetric(float64(len(delta.RateChanges)), "rates/delta")
 }

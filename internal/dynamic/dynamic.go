@@ -674,6 +674,10 @@ func ApplyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
 	return applyDelta(w, d)
 }
 
+// applyDelta materializes the delta'd workload by patching the CSR arrays
+// directly: unedited subscribers' rows are copied and each edited row is a
+// sorted three-way merge, so an epoch's workload swap costs O(pairs) array
+// copies plus O(delta log delta). Topic and subscriber names are dropped.
 func applyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
 	if err := d.Validate(w.NumTopics(), w.NumSubscribers()); err != nil {
 		return nil, err
@@ -688,34 +692,71 @@ func applyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
 		rates[t] = r
 	}
 
-	interests := make([]map[workload.TopicID]bool, numV)
-	for v := 0; v < w.NumSubscribers(); v++ {
-		set := make(map[workload.TopicID]bool, w.Followings(workload.SubID(v)))
-		for _, t := range w.Topics(workload.SubID(v)) {
-			set[t] = true
+	// Group the pair edits per subscriber (delta-sized, not fleet-sized).
+	type rowEdit struct{ add, del []workload.TopicID }
+	edits := make(map[workload.SubID]*rowEdit, len(d.Subscribe)+len(d.Unsubscribe))
+	edit := func(v workload.SubID) *rowEdit {
+		e := edits[v]
+		if e == nil {
+			e = &rowEdit{}
+			edits[v] = e
 		}
-		interests[v] = set
-	}
-	for v := w.NumSubscribers(); v < numV; v++ {
-		interests[v] = make(map[workload.TopicID]bool)
+		return e
 	}
 	for _, pr := range d.Subscribe {
-		interests[pr.Sub][pr.Topic] = true
+		e := edit(pr.Sub)
+		e.add = append(e.add, pr.Topic)
 	}
 	for _, pr := range d.Unsubscribe {
-		delete(interests[pr.Sub], pr.Topic)
+		e := edit(pr.Sub)
+		e.del = append(e.del, pr.Topic)
+	}
+	for _, e := range edits {
+		slices.Sort(e.add)
+		slices.Sort(e.del)
 	}
 
 	subOff := make([]int64, 1, numV+1)
-	var subTopics []workload.TopicID
-	for _, set := range interests {
-		start := len(subTopics)
-		for t := range set {
-			subTopics = append(subTopics, t)
+	subTopics := make([]workload.TopicID, 0, w.NumPairs()+int64(len(d.Subscribe)))
+	for v := 0; v < numV; v++ {
+		var old []workload.TopicID
+		if v < w.NumSubscribers() {
+			old = w.Topics(workload.SubID(v))
 		}
-		seg := subTopics[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		if e := edits[workload.SubID(v)]; e == nil {
+			subTopics = append(subTopics, old...)
+		} else {
+			subTopics = mergeRow(subTopics, old, e.add, e.del)
+		}
 		subOff = append(subOff, int64(len(subTopics)))
 	}
 	return workload.FromCSR(rates, subOff, subTopics, nil, nil)
+}
+
+// mergeRow appends (old ∪ add) \ del to dst, deduplicated ascending. All
+// three inputs are sorted ascending; add and del never share a topic
+// (Delta.Validate rejects that).
+func mergeRow(dst, old, add, del []workload.TopicID) []workload.TopicID {
+	start := len(dst)
+	i, j := 0, 0
+	emit := func(t workload.TopicID) {
+		if _, dead := slices.BinarySearch(del, t); dead {
+			return
+		}
+		if n := len(dst); n > start && dst[n-1] == t {
+			return // duplicate (re-subscribe of an existing interest)
+		}
+		dst = append(dst, t)
+	}
+	for i < len(old) || j < len(add) {
+		switch {
+		case j >= len(add) || (i < len(old) && old[i] <= add[j]):
+			emit(old[i])
+			i++
+		default:
+			emit(add[j])
+			j++
+		}
+	}
+	return dst
 }

@@ -3,11 +3,9 @@ package dynamic
 import (
 	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"github.com/pubsub-systems/mcss/internal/core"
-	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
@@ -213,84 +211,6 @@ func TestUpdateIncrementalRandomChurnSequence(t *testing.T) {
 		t.Error("every step fell back to a full re-solve — the incremental path never held")
 	}
 	t.Logf("%d/%d steps fell back to a full re-solve", fallbacks, steps)
-}
-
-// TestApplyDeltaFastMatchesApplyDelta pins the CSR-patching fast path
-// byte-identical to the reference map-based applyDelta across randomized
-// deltas, including growth, re-subscribes of existing interests, and
-// unsubscribes of absent pairs.
-func TestApplyDeltaFastMatchesApplyDelta(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for c := 0; c < 200; c++ {
-		w, err := tracegen.Random(tracegen.RandomConfig{
-			Topics:        5 + rng.Intn(15),
-			Subscribers:   10 + rng.Intn(40),
-			MaxFollowings: 1 + rng.Intn(5),
-			MaxRate:       60,
-			Seed:          int64(c),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := randomDelta(rng, w, 0.3, true)
-		// Unsubscribes of absent-but-in-range pairs are documented no-ops;
-		// splice some in (avoiding pairs the delta already names).
-		named := make(map[workload.Pair]bool)
-		for _, pr := range d.Subscribe {
-			named[pr] = true
-		}
-		for _, pr := range d.Unsubscribe {
-			named[pr] = true
-		}
-		for tries := 0; tries < 10; tries++ {
-			pr := workload.Pair{
-				Topic: workload.TopicID(rng.Intn(w.NumTopics())),
-				Sub:   workload.SubID(rng.Intn(w.NumSubscribers())),
-			}
-			if !named[pr] && !hasTopic(w.Topics(pr.Sub), pr.Topic) {
-				named[pr] = true
-				d.Unsubscribe = append(d.Unsubscribe, pr)
-				break
-			}
-		}
-		sortPairs(d.Unsubscribe)
-
-		want, err := applyDelta(w, d)
-		if err != nil {
-			t.Fatalf("case %d: applyDelta: %v", c, err)
-		}
-		got, err := applyDeltaFast(w, d)
-		if err != nil {
-			t.Fatalf("case %d: applyDeltaFast: %v", c, err)
-		}
-		if got.NumTopics() != want.NumTopics() || got.NumSubscribers() != want.NumSubscribers() {
-			t.Fatalf("case %d: shape %d/%d != %d/%d", c,
-				got.NumTopics(), got.NumSubscribers(), want.NumTopics(), want.NumSubscribers())
-		}
-		for tt := 0; tt < want.NumTopics(); tt++ {
-			if got.Rate(workload.TopicID(tt)) != want.Rate(workload.TopicID(tt)) {
-				t.Fatalf("case %d: topic %d rate %d != %d", c, tt,
-					got.Rate(workload.TopicID(tt)), want.Rate(workload.TopicID(tt)))
-			}
-		}
-		// GSP's transposition relies on Subscribers(t) ascending in SubID.
-		for tt := 0; tt < got.NumTopics(); tt++ {
-			if subs := got.Subscribers(workload.TopicID(tt)); !slices.IsSorted(subs) {
-				t.Fatalf("case %d: topic %d subscribers %v not ascending", c, tt, subs)
-			}
-		}
-		for v := 0; v < want.NumSubscribers(); v++ {
-			g, x := got.Topics(workload.SubID(v)), want.Topics(workload.SubID(v))
-			if len(g) != len(x) {
-				t.Fatalf("case %d: subscriber %d has %d interests, want %d (%v vs %v)", c, v, len(g), len(x), g, x)
-			}
-			for k := range g {
-				if g[k] != x[k] {
-					t.Fatalf("case %d: subscriber %d interests %v != %v", c, v, g, x)
-				}
-			}
-		}
-	}
 }
 
 // TestEnsureIndexRebuildsAfterExternalAdopt checks that a state mutation

@@ -23,7 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -122,25 +122,9 @@ func Twitter(cfg TwitterConfig) (*workload.Workload, error) {
 	// distinct topics popularity-proportionally.
 	subOff := make([]int64, 1, cfg.Subscribers+1)
 	var subTopics []workload.TopicID
-	picked := make(map[int32]struct{}, 64)
+	picked := make([]int32, cfg.Topics)
 	for v := 0; v < cfg.Subscribers; v++ {
-		deg := cfg.sampleFollowings(rng)
-		if deg > int64(cfg.Topics)/2 {
-			deg = int64(cfg.Topics) / 2
-			if deg == 0 {
-				deg = 1
-			}
-		}
-		clear(picked)
-		for int64(len(picked)) < deg {
-			picked[table.sample(rng)] = struct{}{}
-		}
-		start := len(subTopics)
-		for t := range picked {
-			subTopics = append(subTopics, workload.TopicID(t))
-		}
-		seg := subTopics[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		subTopics = appendInterests(subTopics, rng, table, picked, int32(v)+1, cfg.sampleFollowings(rng))
 		subOff = append(subOff, int64(len(subTopics)))
 	}
 
@@ -178,6 +162,25 @@ func Twitter(cfg TwitterConfig) (*workload.Workload, error) {
 	}
 
 	return compact(rates, subOff, subTopics)
+}
+
+// appendInterests draws deg distinct topics popularity-proportionally
+// (deg clamped to max(1, topics/2)) and appends them to dst, ascending.
+// picked[t] == mark marks t as drawn for this row; each row passes a
+// fresh mark, so picked needs no clearing.
+func appendInterests(dst []workload.TopicID, rng *rand.Rand, table *aliasTable, picked []int32, mark int32, deg int64) []workload.TopicID {
+	if deg > int64(len(picked))/2 {
+		deg = max(int64(len(picked))/2, 1)
+	}
+	start := len(dst)
+	for int64(len(dst)-start) < deg {
+		if t := table.sample(rng); picked[t] != mark {
+			picked[t] = mark
+			dst = append(dst, workload.TopicID(t))
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // sampleFollowings draws an interest size with the CCDF anomalies at 20 and
@@ -261,25 +264,10 @@ func Spotify(cfg SpotifyConfig) (*workload.Workload, error) {
 
 	subOff := make([]int64, 1, cfg.Subscribers+1)
 	var subTopics []workload.TopicID
-	picked := make(map[int32]struct{}, 16)
+	picked := make([]int32, cfg.Topics)
 	for v := 0; v < cfg.Subscribers; v++ {
 		deg := boundedPareto(rng, cfg.MinFollowings, cfg.MaxFollowings, cfg.FollowingsAlpha)
-		if deg > int64(cfg.Topics)/2 {
-			deg = int64(cfg.Topics) / 2
-			if deg == 0 {
-				deg = 1
-			}
-		}
-		clear(picked)
-		for int64(len(picked)) < deg {
-			picked[table.sample(rng)] = struct{}{}
-		}
-		start := len(subTopics)
-		for t := range picked {
-			subTopics = append(subTopics, workload.TopicID(t))
-		}
-		seg := subTopics[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		subTopics = appendInterests(subTopics, rng, table, picked, int32(v)+1, deg)
 		subOff = append(subOff, int64(len(subTopics)))
 	}
 
@@ -336,7 +324,7 @@ func Random(cfg RandomConfig) (*workload.Workload, error) {
 			deg = cfg.Topics
 		}
 		perm := rng.Perm(cfg.Topics)[:deg]
-		sort.Ints(perm)
+		slices.Sort(perm)
 		for _, t := range perm {
 			subTopics = append(subTopics, workload.TopicID(t))
 		}
